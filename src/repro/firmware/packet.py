@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import itertools
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 __all__ = ["PacketType", "Packet", "FlyweightPayload", "compute_crc",
@@ -159,14 +159,27 @@ class Packet:
             return not self.corrupted
         return (not self.corrupted) and compute_crc(self.payload) == self.crc
 
+    def copy_with(self, **changes) -> "Packet":
+        """A copy of this packet with ``changes`` applied.
+
+        ``dataclasses.replace`` without re-running ``__init__``: the
+        copy keeps ``packet_id`` and ``crc`` as they are, which is all
+        ``__post_init__`` would settle for an existing packet.
+        """
+        twin = object.__new__(type(self))
+        twin.__dict__ = {**self.__dict__, **changes}
+        return twin
+
     def hop(self) -> tuple[int, "Packet"]:
         """Consume the head of the source route.
 
-        Returns ``(output_port, packet_with_remaining_route)``.
+        Returns ``(output_port, packet_with_remaining_route)``; this
+        packet keeps its full route (a retransmit buffer may hold it).
         """
-        if not self.route:
+        route = self.route
+        if not route:
             raise ValueError(f"packet {self.packet_id} has an empty route")
-        return self.route[0], replace(self, route=self.route[1:])
+        return route[0], self.copy_with(route=route[1:])
 
 
 def fragment_offsets(total_length: int, mtu: int) -> list[int]:

@@ -5,7 +5,11 @@ or the custom nwrc 2-D mesh; both are source-routed cut-through
 fabrics.  :func:`build_network` assembles NIC-facing link endpoints,
 switches and inter-switch links for several topologies and precomputes
 the source route (sequence of switch output ports) for every ordered
-node pair, using :mod:`networkx` shortest paths over the fabric graph.
+node pair into one array route table: ``route_ports[src, dst]`` holds
+the ports, one small unsigned integer per hop, and
+``route_lengths[src, dst]`` how many of them the route uses.  The
+crossbar, tree and fat-tree builders fill the table in closed form from
+their port conventions; the mesh writes its dimension-order walks.
 
 Topologies:
 
@@ -24,7 +28,8 @@ Topologies:
 Every route is validated against switch radix and physical
 connectivity at build time (``cfg.strict_routes``), so a topology
 builder emitting an out-of-radix or dead port fails fast instead of
-silently dropping packets at forwarding time.
+silently dropping packets at forwarding time.  The check walks all
+pairs at once over a ``next_hop[switch, port]`` array.
 """
 
 from __future__ import annotations
@@ -32,9 +37,9 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
-import networkx as nx
+import numpy as np
 
 from repro.config import CostModel
 from repro.firmware.packet import Packet
@@ -45,6 +50,11 @@ from repro.sim import Environment
 __all__ = ["Network", "build_network"]
 
 FaultInjector = Callable[[Packet], Optional[Packet]]
+
+#: ``next_hop`` entry for a port with no cable on it; host ``h`` is
+#: encoded as ``_HOST - h`` and switch ``i`` as ``i``
+_UNWIRED = -1
+_HOST = -2
 
 
 class Network:
@@ -60,8 +70,11 @@ class Network:
         self.links: list[Link] = []
         #: endpoint the node's NIC transmits/receives on, per node id
         self.nic_endpoints: dict[int, LinkEndpoint] = {}
-        self._routes: dict[tuple[int, int], tuple[int, ...]] = {}
-        self.graph = nx.Graph()
+        #: source routes: ``route_ports[src, dst, :route_lengths[src, dst]]``
+        #: are the switch output ports from node src to node dst
+        self.route_ports = np.zeros((n_nodes, n_nodes, 0), np.uint8)
+        self.route_lengths = np.zeros((n_nodes, n_nodes), np.uint8)
+        self._route_cache: dict[tuple[int, int], tuple[int, ...]] = {}
         #: physical wiring: (switch name, port) -> ("sw", name) | ("host", n)
         self.port_map: dict[tuple[str, int], tuple] = {}
         #: node id -> (switch name, port) its NIC link lands on
@@ -88,12 +101,31 @@ class Network:
 
     def route(self, src: int, dst: int) -> tuple[int, ...]:
         """Source route (switch output ports) from node src to node dst."""
+        try:
+            return self._route_cache[(src, dst)]
+        except KeyError:
+            pass
         if src == dst:
             raise ValueError(f"no network route from node {src} to itself")
-        try:
-            return self._routes[(src, dst)]
-        except KeyError:
-            raise ValueError(f"no route from node {src} to node {dst}") from None
+        if not (0 <= src < self.n_nodes and 0 <= dst < self.n_nodes):
+            raise ValueError(f"no route from node {src} to node {dst}")
+        length = self.route_lengths[src, dst]
+        route = tuple(self.route_ports[src, dst, :length].tolist())
+        self._route_cache[(src, dst)] = route
+        return route
+
+    def set_route(self, src: int, dst: int, ports: Iterable[int]) -> None:
+        """Overwrite the route from src to dst in the table.
+
+        The route must fit the table: at most ``route_ports.shape[2]``
+        ports, each within ``route_ports.dtype``.  Nothing else is
+        checked here: call :meth:`validate_routes` after.
+        """
+        ports = tuple(ports)
+        self.route_ports[src, dst] = 0
+        self.route_ports[src, dst, :len(ports)] = ports
+        self.route_lengths[src, dst] = len(ports)
+        self._route_cache.pop((src, dst), None)
 
     def hops(self, src: int, dst: int) -> int:
         """Number of switches on the path."""
@@ -104,7 +136,7 @@ class Network:
 
         Raises :class:`ValueError` if the route leaves the wired fabric
         at any hop or does not terminate at ``dst``'s host port — the
-        strict-mode check behind :meth:`validate_routes`.
+        per-route form of :meth:`validate_routes`.
         """
         route = self.route(src, dst)
         here = self.host_attach.get(src)
@@ -136,19 +168,70 @@ class Network:
             f"route {src}->{dst} ends at switch {sw_name}, not at node "
             f"{dst}'s host port")
 
+    def invalid_routes(self) -> np.ndarray:
+        """``(n, n)`` mask of the ordered pairs :meth:`walk_route` rejects.
+
+        Walks every route in the table at once, hop by hop, over a
+        ``next_hop[switch, port]`` array built from :attr:`port_map`.
+        A pair is valid when each port is within the radix of the
+        switch it is consumed at, each hop lands on a wired port, and
+        the walk ejects at a host only on the last hop, at ``dst``.
+        The diagonal (no route to oneself) is never flagged.
+        """
+        n = self.n_nodes
+        index = {sw.name: i for i, sw in enumerate(self.switches)}
+        radix = np.array([sw.n_ports for sw in self.switches], np.int32)
+        next_hop = np.full((len(self.switches), radix.max(initial=1)),
+                           _UNWIRED, np.int32)
+        for (name, port), (kind, target) in self.port_map.items():
+            next_hop[index[name], port] = (
+                index[target] if kind == "sw" else _HOST - target)
+        attach = np.full(n, _UNWIRED, np.int32)
+        for node, (name, _) in self.host_attach.items():
+            attach[node] = index[name]
+        here = np.repeat(attach, n)          # current switch, per pair
+        lengths = self.route_lengths.ravel()
+        ports = self.route_ports.reshape(n * n, self.route_ports.shape[2])
+        dst = np.tile(np.arange(n, dtype=np.int32), n)
+        walking = here != _UNWIRED
+        delivered = np.zeros(n * n, bool)
+        for hop in range(ports.shape[1]):
+            walking &= lengths > hop
+            if not walking.any():
+                break
+            sw = np.where(walking, here, 0)
+            port = ports[:, hop]
+            in_radix = (port >= 0) & (port < radix[sw])
+            target = next_hop[sw, np.where(in_radix, port, 0)]
+            walking &= in_radix & (target != _UNWIRED)
+            ejects = walking & (target <= _HOST)
+            delivered |= (ejects & (lengths == hop + 1)
+                          & (_HOST - target == dst))
+            walking &= ~ejects
+            here = target
+        invalid = ~delivered.reshape(n, n)
+        np.fill_diagonal(invalid, False)
+        return invalid
+
     def validate_routes(self) -> None:
-        """Walk every precomputed route through the wired fabric.
+        """Walk every route in the table through the wired fabric.
 
         Checks, for each ordered ``(src, dst)`` pair: every port index
         is within the radix of the switch it is consumed at, every hop
         lands on a physically connected link, and the final hop ejects
         at ``dst``'s host port.  Raises :class:`ValueError` naming the
-        first offending route — topology-builder bugs fail at
+        first offending route in ``(src, dst)`` order (the message of
+        :meth:`walk_route`) — topology-builder bugs fail at
         :func:`build_network` time instead of as silent
         ``Switch.route_errors`` drops.
         """
-        for src, dst in self._routes:
-            self.walk_route(src, dst)
+        invalid = self.invalid_routes()
+        if not invalid.any():
+            return
+        src, dst = divmod(int(np.argmax(invalid)), self.n_nodes)
+        self.walk_route(src, dst)
+        raise RuntimeError(f"route {src}->{dst} failed the table walk but "
+                           f"not walk_route")
 
     # -- construction helpers (used by build_network) -------------------
     def _add_link(self, name: str,
@@ -164,29 +247,33 @@ class Network:
         self.switch_level[name] = level
         return sw
 
-    def _compute_routes_from_graph(
-            self, port_of: dict[tuple[str, int], dict[tuple[str, int], int]]
-    ) -> None:
-        """Fill the route table from ``self.graph`` shortest paths.
+    def _alloc_routes(self, width: int) -> None:
+        """Allocate an empty table for routes of up to ``width`` hops.
 
-        ``port_of[switch_vertex][neighbor_vertex]`` is the switch port
-        facing that neighbor.
+        Ports are stored one byte each while every switch radix fits in
+        a byte.
         """
-        for src in range(self.n_nodes):
-            paths = nx.single_source_shortest_path(self.graph, ("host", src))
-            for dst in range(self.n_nodes):
-                if dst == src:
-                    continue
-                path = paths.get(("host", dst))
-                if path is None:
-                    raise ValueError(
-                        f"topology {self.topology!r} leaves node {dst} "
-                        f"unreachable from node {src}")
-                ports = []
-                for i in range(1, len(path) - 1):
-                    vertex = path[i]
-                    ports.append(port_of[vertex][path[i + 1]])
-                self._routes[(src, dst)] = tuple(ports)
+        n = self.n_nodes
+        radix = max(sw.n_ports for sw in self.switches)
+        self.route_ports = np.zeros((n, n, width),
+                                    np.min_scalar_type(radix - 1))
+        self.route_lengths = np.zeros((n, n), np.min_scalar_type(width))
+
+    def _fill_routes(self, by_hop: list, lengths: np.ndarray) -> None:
+        """Install a closed-form route table.
+
+        ``by_hop[h]`` broadcasts to hop ``h``'s port for every pair (any
+        value past a pair's length); ``lengths`` is ``(n, n)``.  The
+        diagonal gets no route, and ports past a route's end are zero.
+        """
+        width = int(lengths.max(initial=0))
+        self._alloc_routes(width)
+        for hop, port in enumerate(by_hop[:width]):
+            self.route_ports[:, :, hop] = port
+        self.route_lengths[:] = lengths
+        np.fill_diagonal(self.route_lengths, 0)
+        past_end = np.arange(width) >= self.route_lengths[:, :, None]
+        self.route_ports[past_end] = 0
 
 
 def build_network(env: Environment, cfg: CostModel, n_nodes: int,
@@ -221,39 +308,36 @@ def _host_link(net: Network, node: int, sw: Switch, port: int,
     link = net._add_link(f"link.h{node}-{sw.name}p{port}", fault_injector)
     net.nic_endpoints[node] = link.a
     sw.connect(port, link.b)
-    net.graph.add_edge(("host", node), ("sw", sw.name))
     net.port_map[(sw.name, port)] = ("host", node)
     net.host_attach[node] = (sw.name, port)
 
 
 def _switch_link(net: Network, sw_a: Switch, port_a: int, sw_b: Switch,
-                 port_b: int, fault_injector: Optional[FaultInjector],
-                 port_of: dict) -> None:
+                 port_b: int, fault_injector: Optional[FaultInjector]) -> None:
     link = net._add_link(f"link.{sw_a.name}p{port_a}-{sw_b.name}p{port_b}",
                          fault_injector)
     sw_a.connect(port_a, link.a)
     sw_b.connect(port_b, link.b)
-    net.graph.add_edge(("sw", sw_a.name), ("sw", sw_b.name))
-    port_of[("sw", sw_a.name)][("sw", sw_b.name)] = port_a
-    port_of[("sw", sw_b.name)][("sw", sw_a.name)] = port_b
     net.port_map[(sw_a.name, port_a)] = ("sw", sw_b.name)
     net.port_map[(sw_b.name, port_b)] = ("sw", sw_a.name)
 
 
 def _build_single_switch(net: Network,
                          fault_injector: Optional[FaultInjector]) -> None:
+    """One crossbar: the route to ``dst`` is its port, ``(dst,)``."""
     n = net.n_nodes
     sw = net._add_switch("sw0", n_ports=max(2, n))
-    port_of: dict = {("sw", "sw0"): {}}
     for node in range(n):
         _host_link(net, node, sw, node, fault_injector)
-        port_of[("sw", "sw0")][("host", node)] = node
-    net._compute_routes_from_graph(port_of)
+    net._fill_routes([np.arange(n)[None, :]], np.ones((n, n), np.uint8))
 
 
 def _build_switch_tree(net: Network,
                        fault_injector: Optional[FaultInjector]) -> None:
     """8-port leaves (7 hosts + uplink on port 7) under one root.
+
+    Routes within a leaf are ``(local_d,)``; across leaves they climb
+    the uplink and come down: ``(7, leaf_d, local_d)``.
 
     With a single leaf (``n_nodes <= 7``) the root and its uplink would
     carry no routes — a dead switch polluting ``switches``/``links``
@@ -263,33 +347,34 @@ def _build_switch_tree(net: Network,
     n = net.n_nodes
     hosts_per_leaf = 7
     n_leaves = max(1, math.ceil(n / hosts_per_leaf))
-    port_of: dict = {}
     root = None
     if n_leaves > 1:
         root = net._add_switch("root", n_ports=max(2, n_leaves), level=1)
-        port_of[("sw", "root")] = {}
     for leaf_idx in range(n_leaves):
         leaf = net._add_switch(f"leaf{leaf_idx}", n_ports=8)
-        port_of[("sw", leaf.name)] = {}
         if root is not None:
             _switch_link(net, leaf, hosts_per_leaf, root, leaf_idx,
-                         fault_injector, port_of)
+                         fault_injector)
         for local in range(hosts_per_leaf):
             node = leaf_idx * hosts_per_leaf + local
             if node >= n:
                 break
             _host_link(net, node, leaf, local, fault_injector)
-            port_of[("sw", leaf.name)][("host", node)] = local
-    net._compute_routes_from_graph(port_of)
+    leaf_of, local_of = np.divmod(np.arange(n), hosts_per_leaf)
+    same_leaf = leaf_of[:, None] == leaf_of[None, :]
+    net._fill_routes(
+        [np.where(same_leaf, local_of[None, :], hosts_per_leaf),
+         leaf_of[None, :], local_of[None, :]],
+        np.where(same_leaf, 1, 3))
 
 
 def _build_mesh2d(net: Network,
                   fault_injector: Optional[FaultInjector]) -> None:
     """Square-ish 2-D mesh of 5-port routers (ports: 0=N 1=S 2=E 3=W 4=host).
 
-    Routes use XY dimension-order routing, computed here directly (it is
-    also the shortest path on the grid, but DOR fixes *which* shortest
-    path, as the nwrc1032 wormhole chip does, so we bypass networkx).
+    Routes use XY dimension-order routing: it is also a shortest path
+    on the grid, but DOR fixes *which* shortest path, as the nwrc1032
+    wormhole chip does.
     """
     n = net.n_nodes
     cols = max(1, math.ceil(math.sqrt(n)))
@@ -299,20 +384,19 @@ def _build_mesh2d(net: Network,
     for r in range(rows):
         for c in range(cols):
             routers[(r, c)] = net._add_switch(f"mesh{r}_{c}", n_ports=5)
-    port_of: dict = {("sw", sw.name): {} for sw in routers.values()}
     for (r, c), sw in routers.items():
         if c + 1 < cols:
             _switch_link(net, sw, E_, routers[(r, c + 1)], W_,
-                         fault_injector, port_of)
+                         fault_injector)
         if r + 1 < rows:
             _switch_link(net, sw, S_, routers[(r + 1, c)], N_,
-                         fault_injector, port_of)
+                         fault_injector)
     coords: dict[int, tuple[int, int]] = {}
     for node in range(n):
         r, c = divmod(node, cols)
         coords[node] = (r, c)
         _host_link(net, node, routers[(r, c)], H_, fault_injector)
-        port_of[("sw", routers[(r, c)].name)][("host", node)] = H_
+    net._alloc_routes((rows - 1) + (cols - 1) + 1)
     for src in range(n):
         for dst in range(n):
             if src == dst:
@@ -328,7 +412,8 @@ def _build_mesh2d(net: Network,
                 ports.append(S_ if r1 > r else N_)
                 r += 1 if r1 > r else -1
             ports.append(H_)        # eject to the host port
-            net._routes[(src, dst)] = tuple(ports)
+            net.route_ports[src, dst, :len(ports)] = ports
+            net.route_lengths[src, dst] = len(ports)
 
 
 def _fat_tree_k(n: int, override: int) -> int:
@@ -345,6 +430,9 @@ def _fat_tree_k(n: int, override: int) -> int:
     return k
 
 
+_FLOW = struct.Struct("<qqq")
+
+
 def _ecmp_pick(src: int, dst: int, seed: int, n_choices: int) -> int:
     """Deterministic ECMP: a stable per-flow hash over (src, dst, seed).
 
@@ -353,8 +441,24 @@ def _ecmp_pick(src: int, dst: int, seed: int, n_choices: int) -> int:
     which the cache-keyed experiment runner and the parity guards rely
     on.
     """
-    digest = zlib.crc32(struct.pack("<qqq", src, dst, seed))
+    digest = zlib.crc32(_FLOW.pack(src, dst, seed))
     return digest % n_choices
+
+
+def _ecmp_digests(n: int, seed: int) -> np.ndarray:
+    """``_ecmp_pick``'s CRC for every ``(src, dst)`` pair, as ``(n, n)``.
+
+    CRC-32 is affine over equal-length inputs, so with
+    ``pack(s, d, seed) = pack(s, 0, seed) ^ pack(0, d, 0) ^ pack(0, 0, 0)``
+    the flow CRC is the XOR of a per-source and a per-destination CRC
+    and the CRC of the zero record: 2n CRC calls instead of n^2.
+    """
+    zero = zlib.crc32(_FLOW.pack(0, 0, 0))
+    by_src = np.array([zlib.crc32(_FLOW.pack(s, 0, seed))
+                       for s in range(n)], np.uint32)
+    by_dst = np.array([zlib.crc32(_FLOW.pack(0, d, 0)) ^ zero
+                       for d in range(n)], np.uint32)
+    return by_src[:, None] ^ by_dst[None, :]
 
 
 def _build_fat_tree(net: Network,
@@ -374,7 +478,11 @@ def _build_fat_tree(net: Network,
     when a single pod holds every host — the same dead-switch collapse
     the switch_tree builder applies.  Routes go up to a deterministic
     ECMP-chosen common ancestor, then down: the up*/down* structure is
-    what makes fat-tree source routing deadlock-free.
+    what makes fat-tree source routing deadlock-free.  Within an edge
+    the route is ``(d_port,)``; within a pod ``(k/2 + a, d_edge,
+    d_port)`` with ``a`` the flow hash mod ``k/2``; across pods
+    ``(k/2 + a, k/2 + j, d_pod, d_edge, d_port)`` with ``(a, j)`` the
+    flow hash mod ``(k/2)^2`` split by ``divmod(., k/2)``.
     """
     n = net.n_nodes
     cfg = net.cfg
@@ -389,7 +497,6 @@ def _build_fat_tree(net: Network,
         edge, port = divmod(m, half)
         return pod, edge, port
 
-    port_of: dict = {}
     edges: dict[tuple[int, int], Switch] = {}
     aggs: dict[tuple[int, int], Switch] = {}
     cores: dict[tuple[int, int], Switch] = {}
@@ -400,53 +507,49 @@ def _build_fat_tree(net: Network,
 
     for p in range(n_pods):
         for e in range(edges_in_pod[p]):
-            sw = net._add_switch(f"ft.p{p}.e{e}", n_ports=k, level=0)
-            edges[(p, e)] = sw
-            port_of[("sw", sw.name)] = {}
+            edges[(p, e)] = net._add_switch(f"ft.p{p}.e{e}", n_ports=k,
+                                            level=0)
         if multi_edge:
             for i in range(half):
-                sw = net._add_switch(f"ft.p{p}.a{i}", n_ports=k, level=1)
-                aggs[(p, i)] = sw
-                port_of[("sw", sw.name)] = {}
+                aggs[(p, i)] = net._add_switch(f"ft.p{p}.a{i}", n_ports=k,
+                                               level=1)
     if n_pods > 1:
         for i in range(half):
             for j in range(half):
-                sw = net._add_switch(f"ft.c{i}_{j}", n_ports=k, level=2)
-                cores[(i, j)] = sw
-                port_of[("sw", sw.name)] = {}
+                cores[(i, j)] = net._add_switch(f"ft.c{i}_{j}", n_ports=k,
+                                                level=2)
 
     # Wire: edge e's up port half+i <-> agg i's down port e.
     for (p, e), edge_sw in edges.items():
         for i in range(half):
             if (p, i) in aggs:
                 _switch_link(net, edge_sw, half + i, aggs[(p, i)], e,
-                             fault_injector, port_of)
+                             fault_injector)
     # Wire: agg (p, i)'s up port half+j <-> core (i, j)'s port p.
     for (p, i), agg_sw in aggs.items():
         for j in range(half):
             if (i, j) in cores:
                 _switch_link(net, agg_sw, half + j, cores[(i, j)], p,
-                             fault_injector, port_of)
+                             fault_injector)
     for node in range(n):
         pod, e, h = host_coords(node)
         _host_link(net, node, edges[(pod, e)], h, fault_injector)
-        port_of[("sw", edges[(pod, e)].name)][("host", node)] = h
 
     # Source routes: up to the ECMP-chosen common ancestor, then down.
-    seed = cfg.ecmp_seed
-    for src in range(n):
-        s_pod, s_edge, _ = host_coords(src)
-        for dst in range(n):
-            if dst == src:
-                continue
-            d_pod, d_edge, d_port = host_coords(dst)
-            if (s_pod, s_edge) == (d_pod, d_edge):
-                route = (d_port,)
-            elif s_pod == d_pod:
-                a = _ecmp_pick(src, dst, seed, half)
-                route = (half + a, d_edge, d_port)
-            else:
-                choice = _ecmp_pick(src, dst, seed, half * half)
-                a, j = divmod(choice, half)
-                route = (half + a, half + j, d_pod, d_edge, d_port)
-            net._routes[(src, dst)] = route
+    pod_of, rest = np.divmod(np.arange(n, dtype=np.int32), pod_cap)
+    edge_of, port_of = np.divmod(rest, half)
+    same_pod = pod_of[:, None] == pod_of[None, :]
+    same_edge = same_pod & (edge_of[:, None] == edge_of[None, :])
+    digest = _ecmp_digests(n, cfg.ecmp_seed)
+    up_agg, up_core = np.divmod((digest % (half * half)).astype(np.int32),
+                                half)
+    up_agg[same_pod] = (digest % half)[same_pod]
+    lengths = np.full((n, n), 5, np.uint8)
+    lengths[same_pod] = 3
+    lengths[same_edge] = 1
+    d_pod, d_edge, d_port = pod_of[None, :], edge_of[None, :], port_of[None, :]
+    net._fill_routes([np.where(same_edge, d_port, half + up_agg),
+                      np.where(same_pod, d_edge, half + up_core),
+                      np.where(same_pod, d_port, d_pod),
+                      d_edge, d_port],
+                     lengths)

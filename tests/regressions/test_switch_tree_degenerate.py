@@ -30,7 +30,8 @@ def test_single_leaf_tree_has_no_root(n):
     assert [sw.name for sw in net.switches] == ["leaf0"]
     # Only host links — no uplink to a phantom root.
     assert len(net.links) == n
-    assert all(len(route) == 1 for route in net._routes.values())
+    assert all(len(net.route(src, dst)) == 1
+               for src in range(n) for dst in range(n) if src != dst)
 
 
 def test_eight_hosts_bring_the_root_back():

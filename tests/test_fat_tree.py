@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.bcl.api import BclLibrary
@@ -42,7 +43,7 @@ def test_full_fabric_structure():
     assert levels.count(2) == 4       # cores
     # 16 host links + 8*2 edge-agg + 8*2 agg-core
     assert len(net.links) == 48
-    assert len(net._routes) == 16 * 15
+    assert np.count_nonzero(net.route_lengths) == 16 * 15
 
 
 def test_route_shapes_by_locality():
@@ -60,7 +61,7 @@ def test_single_pod_has_no_cores():
     net = _net(4)
     assert net.meta["n_pods"] == 1
     assert all(net.switch_level[s.name] < 2 for s in net.switches)
-    assert max(len(r) for r in net._routes.values()) == 3
+    assert net.route_lengths.max() == 3
 
 
 def test_single_edge_has_no_aggs():
@@ -75,20 +76,58 @@ def test_single_edge_has_no_aggs():
 def test_ecmp_is_seed_deterministic():
     for args in ((0, 5, 1, 4), (3, 900, 7, 8)):
         assert _ecmp_pick(*args) == _ecmp_pick(*args)
-    routes_a = _net(16)._routes
-    routes_b = _net(16)._routes
-    assert routes_a == routes_b
+    net_a, net_b = _net(16), _net(16)
+    assert np.array_equal(net_a.route_ports, net_b.route_ports)
+    assert np.array_equal(net_a.route_lengths, net_b.route_lengths)
 
 
 def test_ecmp_seed_changes_path_selection():
-    base = _net(16)._routes
+    base = _net(16)
     other = build_network(Environment(),
                           DAWNING_3000.replace(ecmp_seed=2), 16,
-                          topology="fat_tree")._routes
-    assert base != other
+                          topology="fat_tree")
+    assert not np.array_equal(base.route_ports, other.route_ports)
     # ... but only among equal-cost choices: same hop counts throughout.
-    assert {p: len(r) for p, r in base.items()} == \
-        {p: len(r) for p, r in other.items()}
+    assert np.array_equal(base.route_lengths, other.route_lengths)
+
+
+def _reference_routes(n, cfg):
+    """The per-pair up/down + ECMP loop the closed-form table replaces."""
+    half = _fat_tree_k(n, cfg.fat_tree_k) // 2
+    pod_cap = half * half
+
+    def coords(node):
+        pod, m = divmod(node, pod_cap)
+        return (pod,) + divmod(m, half)
+
+    routes = {}
+    for src in range(n):
+        s_pod, s_edge, _ = coords(src)
+        for dst in range(n):
+            if dst == src:
+                continue
+            d_pod, d_edge, d_port = coords(dst)
+            if (s_pod, s_edge) == (d_pod, d_edge):
+                routes[(src, dst)] = (d_port,)
+            elif s_pod == d_pod:
+                a = _ecmp_pick(src, dst, cfg.ecmp_seed, half)
+                routes[(src, dst)] = (half + a, d_edge, d_port)
+            else:
+                choice = _ecmp_pick(src, dst, cfg.ecmp_seed, half * half)
+                a, j = divmod(choice, half)
+                routes[(src, dst)] = (half + a, half + j, d_pod, d_edge,
+                                      d_port)
+    return routes
+
+
+@pytest.mark.parametrize("n,seed,k", [
+    (2, 1, 0), (16, 1, 0), (17, 0, 0), (60, 7, 0), (60, -5, 0),
+    (100, 2 ** 40, 10), (130, 3, 0), (20, 1, 8)])
+def test_closed_form_table_matches_reference_loop(n, seed, k):
+    cfg = DAWNING_3000.replace(ecmp_seed=seed, fat_tree_k=k)
+    net = _net(n, cfg)
+    assert {(s, d): net.route(s, d) for s in range(n) for d in range(n)
+            if s != d} == _reference_routes(n, cfg)
 
 
 def test_ecmp_spreads_uplinks():

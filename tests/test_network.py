@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.config import DAWNING_3000
@@ -173,3 +177,16 @@ def test_packets_traverse_mesh_end_to_end(env, cfg):
     assert len(arrived) == 1
     node, pkt = arrived[0]
     assert node == 8 and pkt.payload == b"hi" and pkt.route == ()
+
+
+def test_route_table_needs_no_graph_library():
+    """Routes are closed-form arrays: building and running a cluster
+    through the CLI never imports networkx."""
+    code = ("import sys, repro.cluster, repro.cli; "
+            "sys.exit('networkx' in sys.modules)")
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run([sys.executable, "-c", code],
+                            env={"PYTHONPATH": str(src),
+                                 "PATH": "/usr/bin:/bin"},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -61,6 +61,25 @@ def test_hop_consumes_route():
         rest2.hop()
 
 
+def test_hop_leaves_the_sent_packet_whole():
+    """Each hop yields a new packet; the one a sender (or its
+    retransmit buffer) holds keeps its full route and identity."""
+    pkt = make_packet(b"abcd", route=(3, 5))
+    _, rest = pkt.hop()
+    assert pkt.route == (3, 5) and pkt.wire_bytes(8) == 8 + 4 + 2
+    assert rest.wire_bytes(8) == 8 + 4 + 1
+    assert rest.packet_id == pkt.packet_id and rest.crc == pkt.crc
+    assert rest == dataclasses.replace(pkt, route=(5,))
+
+
+def test_copy_with_matches_dataclasses_replace():
+    pkt = make_packet(b"xyz", route=(1, 2))
+    twin = pkt.copy_with(seq=7)
+    assert twin == dataclasses.replace(pkt, seq=7)
+    assert twin is not pkt and pkt.seq == 0
+    assert type(twin) is Packet
+
+
 def test_wire_bytes_includes_header_and_route():
     pkt = make_packet(b"abcd", route=(1, 2))
     assert pkt.wire_bytes(8) == 8 + 4 + 2

@@ -32,6 +32,19 @@ def test_register_stamps_increasing_seqs(env):
     assert seqs == [0, 1, 2]
 
 
+def test_retransmit_buffer_keeps_the_full_route(env):
+    sender, sent = make_sender(env)
+    pkt = Packet(ptype=PacketType.DATA, src_nic=0, dst_nic=1, route=(4, 2),
+                 payload=b"p", total_length=1)
+    stamped = sender.register(pkt)
+    _, forwarded = stamped.hop()      # the first switch consumes a port
+    _, forwarded = forwarded.hop()
+    assert forwarded.route == ()
+    env.run(until=us(150))            # timeout: resend from the buffer
+    assert [p.route for p in sent] == [(4, 2)]
+    assert sent[0].packet_id == pkt.packet_id and sent[0].seq == 0
+
+
 def test_window_limits_in_flight(env):
     sender, _ = make_sender(env, window=2)
     sender.register(data_packet())

@@ -15,7 +15,9 @@ instead of bleeding ``Switch.route_errors`` at forwarding time.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import DAWNING_3000
 from repro.hw.network import build_network
@@ -39,7 +41,7 @@ def _net(topology, n, cfg=DAWNING_3000):
 def test_every_route_walks_the_wired_fabric(topology, n):
     """walk_route() — radix, wiring, and host termination combined."""
     net = _net(topology, n)
-    assert len(net._routes) == n * (n - 1)
+    assert np.count_nonzero(net.route_lengths) == n * (n - 1)
     for src in range(n):
         for dst in range(n):
             if src == dst:
@@ -74,18 +76,16 @@ def test_fat_tree_routes_never_go_down_then_up(n):
 
 
 def test_ecmp_choice_is_pure_function_of_flow_and_seed():
-    a = _net("fat_tree", 16)._routes
-    b = _net("fat_tree", 16)._routes
-    assert a == b
-    reseeded = _net("fat_tree", 16,
-                    DAWNING_3000.replace(ecmp_seed=99))._routes
-    assert {p: len(r) for p, r in a.items()} == \
-        {p: len(r) for p, r in reseeded.items()}
+    a = _net("fat_tree", 16)
+    b = _net("fat_tree", 16)
+    assert np.array_equal(a.route_ports, b.route_ports)
+    reseeded = _net("fat_tree", 16, DAWNING_3000.replace(ecmp_seed=99))
+    assert np.array_equal(a.route_lengths, reseeded.route_lengths)
 
 
 def test_out_of_radix_route_rejected_at_validation_time():
     net = _net("fat_tree", 16)
-    net._routes[(0, 5)] = (999,) + net._routes[(0, 5)][1:]
+    net.set_route(0, 5, (255,) + net.route(0, 5)[1:])   # radix is 4
     with pytest.raises(ValueError, match="outside .*radix"):
         net.validate_routes()
 
@@ -95,22 +95,78 @@ def test_unwired_port_rejected_at_validation_time():
     net = _net("switch_tree", 20)
     # leaf0 port 5 is within radix 8 but hosts only 0-6 on 0-6 + uplink
     # on 7 exist; with 20 hosts leaf2 has ports 6 unwired.
-    net._routes[(0, 1)] = (5, 1)
+    net.set_route(0, 1, (5, 1))
     with pytest.raises(ValueError, match="not wired|ejects"):
+        net.validate_routes()
+
+
+def test_dead_end_port_stops_the_table_walk():
+    """A route through an uncabled port is rejected even when its later
+    ports would spell a valid path from some other switch."""
+    net = _net("mesh2d", 3)     # 2x2 grid: mesh0_0's north port is bare
+    net.set_route(0, 2, (0, 3, 4))
+    assert net.invalid_routes()[0, 2]
+    with pytest.raises(ValueError, match="mesh0_0 port 0 is not wired"):
         net.validate_routes()
 
 
 def test_route_must_terminate_at_destination():
     net = _net("single_switch", 4)
-    net._routes[(0, 1)] = (2,)          # ejects at host 2, not 1
+    net.set_route(0, 1, (2,))           # ejects at host 2, not 1
     with pytest.raises(ValueError, match="ejects at host 2"):
         net.validate_routes()
 
 
 def test_truncated_route_rejected():
     net = _net("fat_tree", 16)
-    net._routes[(0, 15)] = net._routes[(0, 15)][:-1]
+    net.set_route(0, 15, net.route(0, 15)[:-1])
     with pytest.raises(ValueError, match="not at node"):
+        net.validate_routes()
+
+
+def _walk_rejects(net) -> set:
+    rejected = set()
+    for src in range(net.n_nodes):
+        for dst in range(net.n_nodes):
+            if src == dst:
+                continue
+            try:
+                net.walk_route(src, dst)
+            except ValueError:
+                rejected.add((src, dst))
+    return rejected
+
+
+_CORRUPTION = st.tuples(st.integers(0, 10**6), st.integers(0, 10**6),
+                        st.booleans(), st.integers(0, 10**6),
+                        st.integers(0, 9))
+
+
+@pytest.mark.parametrize("topology,n", [("fat_tree", 60), ("mesh2d", 12)])
+@settings(max_examples=30)
+@given(corruptions=st.lists(_CORRUPTION, min_size=1, max_size=12))
+def test_table_walk_agrees_with_walk_route(topology, n, corruptions):
+    """Differential: the all-pairs table walk flags exactly the pairs
+    whose scalar ``walk_route`` raises, for random corrupted entries
+    (a port overwritten with a value up to past the radix, or a length
+    cut or stretched)."""
+    net = _net(topology, n)
+    width = net.route_ports.shape[2]
+    for a, b, is_length, hop, value in corruptions:
+        src, dst = a % n, b % n
+        if is_length:
+            net.route_lengths[src, dst] = value % (width + 1)
+        else:
+            net.route_ports[src, dst, hop % width] = value
+    flagged = set(zip(*map(np.ndarray.tolist,
+                           np.nonzero(net.invalid_routes()))))
+    assert flagged == _walk_rejects(net)
+    if flagged:
+        first = min(flagged)
+        with pytest.raises(ValueError, match=f"route {first[0]}->"
+                                             f"{first[1]} "):
+            net.validate_routes()
+    else:
         net.validate_routes()
 
 
