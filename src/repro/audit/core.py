@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.firmware.packet import SEQUENCED_TYPES
+from repro.sim.core import Process, _ConditionBase
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.cluster import Cluster
@@ -124,11 +125,13 @@ class AuditError(RuntimeError):
 class SimChecker:
     """Sim core: events never run in the past; no orphaned waiters.
 
-    Stores and Resources self-register at construction (when the
-    environment carries an auditor).  At quiesce every queued waiter
-    event must still have at least one callback — a queued event with
-    no callbacks can never resume anyone, so a later hand-off would be
-    silently lost.
+    Stores, Resources and Wakeups self-register at construction (when
+    the environment carries an auditor).  At quiesce every queued
+    waiter event must still have at least one *live* callback — one
+    whose condition has not triggered yet, or whose process is alive.
+    A queued event without one can never resume anyone: a later
+    hand-off would be silently lost, and until then the waiter pins
+    whatever it is hooked to (nothing released it).
     """
 
     layer = "sim"
@@ -136,6 +139,7 @@ class SimChecker:
     def __init__(self) -> None:
         self._stores: list[weakref.ref] = []
         self._resources: list[weakref.ref] = []
+        self._wakeups: list[weakref.ref] = []
 
     def register_store(self, store) -> None:
         self._stores.append(weakref.ref(store))
@@ -143,12 +147,22 @@ class SimChecker:
     def register_resource(self, resource) -> None:
         self._resources.append(weakref.ref(resource))
 
+    def register_wakeup(self, wakeup) -> None:
+        self._wakeups.append(weakref.ref(wakeup))
+
     @staticmethod
-    def _orphaned(event) -> bool:
-        if event.triggered:
-            return False
-        callbacks = event._callbacks
-        return callbacks is None or not callbacks
+    def _live_callback(callback) -> bool:
+        owner = getattr(callback, "__self__", None)
+        if isinstance(owner, _ConditionBase):
+            return not owner.triggered
+        if isinstance(owner, Process):
+            return owner.is_alive
+        return True
+
+    @classmethod
+    def _orphaned(cls, event) -> bool:
+        return not event.triggered and not any(
+            cls._live_callback(cb) for cb in event._callbacks or ())
 
     def quiesce(self, auditor: "Auditor") -> list[Violation]:
         now = auditor.env.now
@@ -164,8 +178,8 @@ class SimChecker:
                     if self._orphaned(ev):
                         violations.append(Violation(
                             self.layer, "orphaned-waiter",
-                            f"store waiter in {queue_name} has no "
-                            "callbacks; a hand-off would be lost",
+                            f"store waiter in {queue_name} has no live "
+                            "callback; a hand-off would be lost",
                             event=repr(ev), t_ns=now))
         self._stores = live_stores
         live_resources = []
@@ -178,10 +192,25 @@ class SimChecker:
                 if self._orphaned(ev):
                     violations.append(Violation(
                         self.layer, "orphaned-waiter",
-                        "resource request queued with no callbacks; a "
-                        "later grant would go to a dead requester",
+                        "resource request queued with no live callback; "
+                        "a later grant would go to a dead requester",
                         event=repr(ev), t_ns=now))
         self._resources = live_resources
+        live_wakeups = []
+        for ref in self._wakeups:
+            wakeup = ref()
+            if wakeup is None:
+                continue
+            live_wakeups.append(ref)
+            for ev in wakeup.waiters():
+                if self._orphaned(ev):
+                    violations.append(Violation(
+                        self.layer, "orphaned-waiter",
+                        "wakeup waiter has no live callback; it stays "
+                        "parked (and pins what it holds) until a ring "
+                        "that may never come",
+                        event=repr(ev), t_ns=now))
+        self._wakeups = live_wakeups
         return violations
 
 
@@ -534,6 +563,9 @@ class Auditor:
     def register_resource(self, resource) -> None:
         self.sim.register_resource(resource)
 
+    def register_wakeup(self, wakeup) -> None:
+        self.sim.register_wakeup(wakeup)
+
     def register_sender(self, mcp, sender) -> None:
         self.firmware.register_sender(mcp, sender)
 
@@ -568,6 +600,8 @@ class Auditor:
                                   if ref() is not None),
             "resources_tracked": sum(1 for ref in self.sim._resources
                                      if ref() is not None),
+            "wakeups_tracked": sum(1 for ref in self.sim._wakeups
+                                   if ref() is not None),
             "eadi_endpoints": sum(1 for ref in self.bcl._endpoints
                                   if ref() is not None),
             "quiesce_checks": self.quiesce_checks,

@@ -30,7 +30,7 @@ from repro.firmware.packet import ChannelKind
 from repro.hw.node import UserProcess
 from repro.kernel.errors import BclError, BclSecurityError
 from repro.kernel.shm import SharedRing
-from repro.sim import Event
+from repro.sim import Event, Wakeup
 
 __all__ = ["BclLibrary", "BclPort"]
 
@@ -90,7 +90,7 @@ class BclPort:
         self.recv_queue = recv_queue
         self.send_queue = send_queue
         self._shm_pending: deque[SharedRing] = deque()
-        self._shm_wakeup: Optional[Event] = None
+        self._shm_wakeup = Wakeup(self.env)
         self.closed = False
 
     # -------------------------------------------------------------- helpers
@@ -178,8 +178,7 @@ class BclPort:
             event = yield from self.poll_recv()
             if event is not None:
                 return event
-            yield self.env.any_of([self.recv_queue.wakeup_event(),
-                                   self._shm_wakeup_event()])
+            yield self.env.any_of(self.arrival_waiters())
 
     def poll_send(self) -> Generator:
         """Reap one send-completion event, or None."""
@@ -309,16 +308,12 @@ class BclPort:
     def _shm_arrived(self, ring: SharedRing) -> None:
         """Called by a co-resident sender: a message header is pending."""
         self._shm_pending.append(ring)
-        if self._shm_wakeup is not None:
-            self._shm_wakeup.succeed()
-            self._shm_wakeup = None
+        self._shm_wakeup.ring()
 
-    def _shm_wakeup_event(self) -> Event:
-        ev = Event(self.env)
-        if self._shm_pending:
-            ev.succeed()
-            return ev
-        if self._shm_wakeup is None:
-            self._shm_wakeup = Event(self.env)
-        self._shm_wakeup.callbacks.append(lambda _e: ev.succeed())
-        return ev
+    def arrival_waiters(self) -> list[Event]:
+        """Events that fire when something arrives to poll for: a
+        receive-queue record or a co-resident peer's shared-memory
+        header.  Park on ``any_of`` of them (plus any other wake
+        condition) between polls."""
+        return [self.recv_queue.wakeup_event(),
+                self._shm_wakeup.waiter(bool(self._shm_pending))]

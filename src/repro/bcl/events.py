@@ -4,7 +4,7 @@ The MCP DMAs completion records directly into these queues; the
 receiving process polls them with BCL primitives — "the user process
 need not trap into kernel mode to check the status of BCL messages"
 (paper section 4.1).  The *timing* of polling is charged by the API
-layer; this module is the queue mechanics plus a wakeup event so
+layer; this module is the queue mechanics plus a :class:`Wakeup` so
 blocked waiters resume the instant an event lands.
 """
 
@@ -14,7 +14,7 @@ from collections import deque
 from typing import Optional
 
 from repro.firmware.descriptors import BclEvent
-from repro.sim import Environment, Event
+from repro.sim import Environment, Event, Wakeup
 
 __all__ = ["CompletionQueue"]
 
@@ -36,7 +36,7 @@ class CompletionQueue:
         self.name = name
         self.capacity = capacity
         self._events: deque[BclEvent] = deque()
-        self._wakeup: Optional[Event] = None
+        self._wakeup = Wakeup(env)
         self.delivered = 0
         self.polled = 0
         self.overflows = 0
@@ -54,9 +54,7 @@ class CompletionQueue:
             return False
         self._events.append(event)
         self.delivered += 1
-        if self._wakeup is not None:
-            self._wakeup.succeed()
-            self._wakeup = None
+        self._wakeup.ring()
         return True
 
     def try_pop(self) -> Optional[BclEvent]:
@@ -72,12 +70,4 @@ class CompletionQueue:
         If records are already queued the event fires immediately, so
         a waiter can never sleep through a delivery.
         """
-        ev = Event(self.env)
-        if self._events:
-            ev.succeed()
-            return ev
-        if self._wakeup is None:
-            self._wakeup = Event(self.env)
-        # Chain: several waiters may share one underlying wakeup.
-        self._wakeup.callbacks.append(lambda _e: ev.succeed())
-        return ev
+        return self._wakeup.waiter(bool(self._events))

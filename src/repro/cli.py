@@ -509,11 +509,34 @@ def _audit_selftest() -> int:
         assert endpoints
         cluster.auditor.check_quiesce()
 
+    def unreleased_wakeup_waiter():
+        # Revert the release a condition does when it triggers: every
+        # receive then leaves its losing shm-wakeup waiter parked.
+        from repro.sim.core import _ConditionBase
+        from repro.upper.job import run_spmd
+        cluster = Cluster(n_nodes=2)
+
+        def ping(ep):
+            buf = ep.lib.proc.alloc(64)
+            if ep.rank == 0:
+                yield from ep.send(1, buf, 64)
+            else:
+                yield from ep.recv(0, 0, buf, 64)
+
+        release = _ConditionBase._release
+        _ConditionBase._release = lambda self: None
+        try:
+            run_spmd(cluster, 2, ping, layer="eadi")
+        finally:
+            _ConditionBase._release = release
+        cluster.env.run()   # drain to quiesce
+
     audit.enable()
     try:
         print("auditor selftest (each case must raise AuditError):")
         expect("sim/past-event", past_event)
         expect("sim/orphaned-waiter", orphaned_waiter)
+        expect("sim/unreleased-wakeup-waiter", unreleased_wakeup_waiter)
         expect("firmware/byte-conservation", byte_conservation)
         expect("kernel/pin-leak", pin_leak)
         expect("bcl/credit-overflow", credit_overflow)

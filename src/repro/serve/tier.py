@@ -258,9 +258,7 @@ def run_serve(scfg: ServeConfig, rho: float,
                     and not len(pool.queue):
                 break
             wake = done_wake["ev"] = ep.port.env.event()
-            yield env.any_of([wake,
-                              ep.port.recv_queue.wakeup_event(),
-                              ep.port._shm_wakeup_event()])
+            yield env.any_of([wake, *ep.port.arrival_waiters()])
             done_wake["ev"] = None
         pool.stop()
         yield pool.drained()

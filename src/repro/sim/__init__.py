@@ -23,7 +23,7 @@ from repro.sim.core import (
     SimulationError,
     Timeout,
 )
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource, Store, Wakeup
 from repro.sim.time import MICROSECOND, MILLISECOND, SECOND, ns_to_us, us, us_to_ns
 from repro.sim.trace import StageTimeline, TraceRecord, Tracer
 
@@ -41,6 +41,7 @@ __all__ = [
     "Timeout",
     "TraceRecord",
     "Tracer",
+    "Wakeup",
     "MICROSECOND",
     "MILLISECOND",
     "SECOND",

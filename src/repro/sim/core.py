@@ -43,6 +43,12 @@ loop is tuned:
 * :meth:`Environment.run` processes events in an inlined loop instead
   of dispatching through :meth:`step` per event.
 
+A condition (:class:`AnyOf`/:class:`AllOf`) releases its losing
+constituents the moment it triggers, so the live set stays bounded: a
+park on ``any_of`` that never hears from one of its events would
+otherwise pin that event, the condition and its waiter until the end
+of the run.
+
 Same-instant ordering is *pluggable*: the heap key of an event is
 ``(time, tie_key)`` where ``tie_key`` defaults to the scheduling
 sequence number (strict FIFO — byte-identical to the historical
@@ -255,7 +261,11 @@ class _ConditionBase(Event):
                 ev._callbacks = [self._check]
             else:
                 cbs.append(self._check)
-        if not self.events and not self.triggered:
+        if self.triggered:
+            # Settled by an already-processed constituent while later
+            # ones were still being wired: release those too.
+            self._release()
+        elif not self.events:
             self.succeed(self._result())
 
     def _result(self) -> dict[Event, Any]:
@@ -267,26 +277,37 @@ class _ConditionBase(Event):
         if not event.ok:
             event.defuse()
             self.fail(event.value)
-            return
-        self._n_done += 1
-        if self._satisfied():
+        else:
+            self._n_done += 1
+            if not self._satisfied():
+                return
             self.succeed(self._result())
+        self._release()
 
     def _satisfied(self) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def _on_orphaned(self) -> None:
-        # The condition lost its last waiter before triggering: detach
-        # _check from every pending constituent, and propagate
-        # orphanhood so queue-backed constituents (Store getters,
-        # Resource requests, credit gates) withdraw themselves instead
-        # of absorbing a later hand-off into a dead condition.
+    def _release(self) -> None:
+        """Detach ``_check`` from every constituent not yet processed.
+
+        Runs when the condition triggers (its losers can no longer
+        change the outcome) and when it is orphaned (nobody waits on
+        it).  A pending constituent left with no waiter is told so via
+        :meth:`Event._on_orphaned`, so queue-backed constituents (Store
+        getters, Resource requests, credit gates, wakeup waiters)
+        withdraw themselves instead of absorbing a later hand-off into
+        a dead condition or pinning it in memory until one comes.
+        """
+        check = self._check
         for ev in self.events:
             cbs = ev._callbacks
-            if cbs is not _PROCESSED and cbs and self._check in cbs:
-                cbs.remove(self._check)
+            if cbs is not _PROCESSED and cbs and check in cbs:
+                cbs.remove(check)
                 if not cbs and ev._value is _PENDING:
                     ev._on_orphaned()
+
+    def _on_orphaned(self) -> None:
+        self._release()
 
 
 class AllOf(_ConditionBase):

@@ -1,6 +1,6 @@
 """Shared-resource primitives built on the event core.
 
-Two primitives cover everything the hardware models need:
+Three primitives cover everything the hardware and library models need:
 
 * :class:`Resource` — a counted resource with FIFO waiters.  Used for
   bus ownership (PCI arbitration), DMA engines, and the NIC firmware
@@ -8,13 +8,19 @@ Two primitives cover everything the hardware models need:
 * :class:`Store` — an unbounded-or-bounded FIFO of items with blocking
   ``get``/``put``.  Used for request rings, packet queues between
   pipeline stages, switch output ports and mailbox-style signalling.
+* :class:`Wakeup` — a re-armable broadcast: every waiter parked since
+  the last :meth:`~Wakeup.ring` fires on the next one.  Used for the
+  user-space completion queues and the shared-memory arrival signal a
+  polling process parks on.
 
-Both primitives survive waiter interruption: when a process blocked on
-``Store.get()``/``Store.put()`` or ``Resource.request()`` is
-interrupted, the engine's orphan hook (:meth:`Event._on_orphaned`)
-withdraws the dead waiter from the queue, so a later ``put()`` cannot
-hand an item to a dead getter (silently losing it) and a later
-``release()`` cannot grant capacity to a dead requester.
+All three survive waiter interruption: when a process blocked on
+``Store.get()``/``Store.put()``, ``Resource.request()`` or a wakeup
+waiter is interrupted, or the waiter loses the ``any_of`` it sits in,
+the engine's orphan hook (:meth:`Event._on_orphaned`) withdraws the
+dead waiter from the queue, so a later ``put()`` cannot hand an item to
+a dead getter (silently losing it), a later ``release()`` cannot grant
+capacity to a dead requester, and a wakeup that never rings does not
+pin its dead waiters.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Any, Optional
 
 from repro.sim.core import Environment, Event, SimulationError
 
-__all__ = ["Resource", "Store"]
+__all__ = ["Resource", "Store", "Wakeup"]
 
 
 class _Request(Event):
@@ -229,3 +235,91 @@ class Store:
             put_ev = self._putters.popleft()
             self._items.append(put_ev.item)
             put_ev.succeed()
+
+
+class _WakeupWaiter(Event):
+    """One parked waiter; withdraws itself from its ring when orphaned."""
+
+    __slots__ = ("_waiters",)
+
+    def __init__(self, env: Environment):
+        super().__init__(env)
+        #: the join-ordered waiter dict of the ring this waiter joined
+        self._waiters: Optional[dict] = None
+
+    def _on_orphaned(self) -> None:
+        waiters = self._waiters
+        if waiters is not None:
+            self._waiters = None
+            waiters.pop(self, None)
+
+
+class _Ring(Event):
+    """The underlying event of one wakeup generation; owns its waiters."""
+
+    __slots__ = ("waiters",)
+
+    def __init__(self, env: Environment):
+        super().__init__(env)
+        self.waiters: dict[_WakeupWaiter, None] = {}
+        # A module-level callback, not a bound method: no ring->ring
+        # reference cycle for the collector to find.
+        self._callbacks = [_wake_waiters]
+
+
+def _wake_waiters(ring: _Ring) -> None:
+    waiters = ring.waiters
+    for waiter in waiters:
+        waiter.succeed()
+    # Drop the dict->waiter references (each waiter still points at the
+    # dict), so no cycle outlives the wake.
+    waiters.clear()
+
+
+class Wakeup:
+    """Re-armable broadcast wakeup with withdrawable waiters.
+
+    :meth:`waiter` returns an event that fires on the next
+    :meth:`ring`.  Waiters parked between two rings share one underlying
+    event; when that event is processed it succeeds them in join order,
+    so a ring costs one event plus one per live waiter.  A waiter whose
+    last callback detaches before the ring (its process was interrupted,
+    or it lost the ``any_of`` it sat in) leaves the ring at once instead
+    of firing later as a no-op.
+    """
+
+    def __init__(self, env: Environment):
+        self.env = env
+        self._ring: Optional[_Ring] = None
+        audit = getattr(env, "_audit", None)
+        if audit is not None:
+            audit.register_wakeup(self)
+
+    def waiters(self) -> list[Event]:
+        """The waiters parked on the next ring, in join order."""
+        return list(self._ring.waiters) if self._ring is not None else []
+
+    def ring(self) -> None:
+        """Wake every waiter parked since the last ring (a no-op when
+        none has parked)."""
+        ring = self._ring
+        if ring is not None:
+            self._ring = None
+            ring.succeed()
+
+    def waiter(self, ready: bool = False) -> Event:
+        """An event that fires on the next :meth:`ring`.
+
+        With ``ready`` true (the condition the caller waits for already
+        holds) it fires at once, so a waiter can never sleep through a
+        ring that happened before it parked.
+        """
+        waiter = _WakeupWaiter(self.env)
+        if ready:
+            return waiter.succeed()
+        ring = self._ring
+        if ring is None:
+            ring = self._ring = _Ring(self.env)
+        waiter._waiters = ring.waiters
+        ring.waiters[waiter] = None
+        return waiter

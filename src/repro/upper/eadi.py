@@ -132,9 +132,10 @@ class _RendezvousIn:
 class _CreditGate(Event):
     """A parked credit waiter that withdraws itself when orphaned.
 
-    If the waiting process is interrupted while parked (the engine
-    strips the last callback off the untriggered gate), the gate leaves
-    its endpoint's ``_credit_waiters`` list instead of lingering there —
+    If the waiting process is interrupted while parked, or an arrival
+    wins the ``any_of`` the gate sits in (either way the engine strips
+    the last callback off the untriggered gate), the gate leaves its
+    endpoint's ``_credit_waiters`` list instead of lingering there —
     the same discipline Store/Resource waiters follow.
     """
 
@@ -207,8 +208,8 @@ class EadiEndpoint:
         self.eager_sends = 0
         self.rendezvous_sends = 0
         self.unexpected_count = 0
-        #: waiters removed because their process was interrupted or the
-        #: endpoint was torn down
+        #: waiters removed because their process was interrupted, an
+        #: arrival won the park they sat in, or the endpoint was torn down
         self.withdrawn_waiters = 0
         self.closed = False
         self._audit = getattr(self.env, "_audit", None)
@@ -258,18 +259,10 @@ class EadiEndpoint:
             stalled_at = self.env.now
             gate = _CreditGate(self, dst_rank)
             self._credit_waiters.setdefault(dst_rank, []).append(gate)
-            yield self.env.any_of([gate,
-                                   self.port.recv_queue.wakeup_event(),
-                                   self.port._shm_wakeup_event()])
-            if not gate.triggered:
-                # Woken by the recv queue, not the gate: withdraw the
-                # stale gate so it cannot absorb a future wake slot
-                # that a genuinely-parked waiter needs.
-                waiters = self._credit_waiters.get(dst_rank)
-                if waiters is not None and gate in waiters:
-                    waiters.remove(gate)
-                    if not waiters:
-                        del self._credit_waiters[dst_rank]
+            # Woken by an arrival instead, the any_of releases the
+            # losing gate, whose orphan hook withdraws it so it cannot
+            # absorb a wake slot a genuinely-parked waiter needs.
+            yield self.env.any_of([gate, *self.port.arrival_waiters()])
             if self._stall_hist is not None:
                 self._stall_hist.observe(self.env.now - stalled_at)
             yield from self.progress()
@@ -464,8 +457,7 @@ class EadiEndpoint:
             found = yield from self.iprobe(src_rank, tag)
             if found is not None:
                 return found
-            yield self.env.any_of([self.port.recv_queue.wakeup_event(),
-                                   self.port._shm_wakeup_event()])
+            yield self.env.any_of(self.port.arrival_waiters())
 
     # ------------------------------------------------------------- matching
     @staticmethod
@@ -591,9 +583,7 @@ class EadiEndpoint:
                 continue
             if done.triggered:
                 break
-            yield self.env.any_of([done,
-                                   self.port.recv_queue.wakeup_event(),
-                                   self.port._shm_wakeup_event()])
+            yield self.env.any_of([done, *self.port.arrival_waiters()])
 
     def progress(self) -> Generator:
         """Drain any pending protocol events without blocking."""

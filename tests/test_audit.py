@@ -15,7 +15,8 @@ from repro.experiments.resilience import (
 from repro.faults import FaultPlan
 from repro.firmware.packet import PacketType
 from repro.instrument.measure import measure_one_way
-from repro.sim import Environment, Event, Interrupt, Resource, Store
+from repro.sim import Environment, Event, Interrupt, Resource, Store, Wakeup
+from repro.sim.core import _ConditionBase
 from repro.upper.job import run_spmd
 
 from tests.conftest import run_procs
@@ -120,6 +121,53 @@ def test_orphaned_resource_request_detected():
     with pytest.raises(AuditError) as exc:
         env.run()
     assert exc.value.violations[0].rule == "orphaned-waiter"
+
+
+def test_unreleased_wakeup_waiter_detected(monkeypatch):
+    """A wakeup waiter still hooked to an any_of that already fired is
+    a leak; with the release reverted the quiesce check must say so."""
+    env = Environment()
+    Auditor(env)
+    wakeup = Wakeup(env)
+    monkeypatch.setattr(_ConditionBase, "_release", lambda self: None)
+
+    def parked():
+        yield env.any_of([wakeup.waiter(), env.timeout(5)])
+
+    env.process(parked())
+    with pytest.raises(AuditError) as exc:
+        env.run()
+    assert exc.value.violations[0].rule == "orphaned-waiter"
+    assert "wakeup" in exc.value.violations[0].detail
+
+
+def test_parked_and_released_wakeup_waiters_pass_quiesce():
+    env = Environment()
+    auditor = Auditor(env)
+    wakeup = Wakeup(env)
+
+    def parked_forever():
+        yield wakeup.waiter()
+
+    def raced():
+        yield env.any_of([wakeup.waiter(), env.timeout(5)])
+
+    env.process(parked_forever())
+    env.process(raced())
+    env.run()                  # quiesce: one live waiter, one released
+    assert len(wakeup.waiters()) == 1
+    assert auditor.report()["wakeups_tracked"] == 1
+
+
+def test_selftest_reaches_every_checker(capsys):
+    from repro.cli import _audit_selftest
+    was_enabled = audit.enabled()
+    try:
+        assert _audit_selftest() == 0
+    finally:
+        if was_enabled:
+            audit.enable()
+    assert "sim/unreleased-wakeup-waiter PASS" in capsys.readouterr().out
 
 
 def test_interrupted_any_of_withdraws_store_getter():
@@ -343,7 +391,7 @@ def test_report_shape():
     cluster.env.run()
     report = cluster.auditor.report()
     for key in ("flows_audited", "packets_arrived", "packets_delivered",
-                "stores_tracked", "resources_tracked", "eadi_endpoints",
-                "quiesce_checks", "violations"):
+                "stores_tracked", "resources_tracked", "wakeups_tracked",
+                "eadi_endpoints", "quiesce_checks", "violations"):
         assert key in report
     assert report["packets_arrived"] >= report["packets_delivered"] > 0

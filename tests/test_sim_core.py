@@ -179,6 +179,52 @@ def test_all_of_empty_fires_immediately(env):
     assert env.now == 0
 
 
+def _hooked(condition, event) -> bool:
+    return condition._check in (event._callbacks or ())
+
+
+def test_any_of_releases_its_losers_when_it_fires(env):
+    """The losers keep no reference to a settled condition, and a
+    queue-backed loser withdraws instead of swallowing a later item."""
+    from repro.sim import Store
+
+    store = Store(env)
+    plain = env.event()
+    getter = store.get()
+    cond = env.any_of([env.timeout(5), plain, getter])
+    env.run()
+    assert cond.processed
+    assert not _hooked(cond, plain) and not _hooked(cond, getter)
+    assert store.cancelled_gets == 1
+    store.put("kept")
+    env.run()
+    assert len(store) == 1
+
+
+def test_failed_all_of_releases_the_rest(env):
+    pending = env.event()
+    bad = env.event()
+    cond = env.all_of([pending, bad])
+    bad.fail(ValueError("boom"))
+    cond.defuse()
+    env.run()
+    assert not cond.ok
+    assert not _hooked(cond, pending)
+
+
+def test_condition_settled_at_construction_releases_later_events(env):
+    """An already-processed first constituent settles the condition
+    while the later ones are still being wired; they are released
+    too."""
+    done = env.event()
+    done.succeed()
+    env.run()
+    later = env.event()
+    cond = env.any_of([done, later])
+    assert cond.triggered
+    assert not _hooked(cond, later)
+
+
 def test_interrupt_delivers_cause(env):
     causes = []
 

@@ -1,10 +1,13 @@
-"""Unit tests for Resource and Store."""
+"""Unit tests for Resource, Store and Wakeup."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.sim import Environment, Resource, SimulationError, Store
+from repro.sim import (Environment, Event, Interrupt, Resource,
+                       SimulationError, Store, Wakeup)
 
 
 def test_resource_grants_up_to_capacity(env):
@@ -277,3 +280,171 @@ def test_interrupted_requester_is_never_granted(env):
     assert res.count == 0
     assert res.queue_length == 0
     res.release(dead_req[0])       # withdrawn request: release is a no-op
+
+
+# ------------------------------------------------------------- Wakeup
+def test_wakeup_wakes_waiters_in_join_order(env):
+    wakeup = Wakeup(env)
+    order = []
+
+    def parked(name):
+        yield wakeup.waiter()
+        order.append((name, env.now))
+
+    for name in "abc":
+        env.process(parked(name))
+
+    def ringer():
+        yield env.timeout(5)
+        wakeup.ring()
+
+    env.process(ringer())
+    env.run()
+    assert order == [("a", 5), ("b", 5), ("c", 5)]
+    assert wakeup.waiters() == []
+
+
+def test_wakeup_ready_waiter_fires_at_once(env):
+    wakeup = Wakeup(env)
+    waiter = wakeup.waiter(ready=True)
+    assert waiter.triggered
+    assert wakeup.waiters() == []      # it never joined a ring
+    env.run()
+    assert waiter.processed
+
+
+def test_wakeup_ring_without_waiters_is_a_noop(env):
+    wakeup = Wakeup(env)
+    wakeup.ring()
+    assert env.peek() is None
+    # A waiter parked after that ring waits for the next one.
+    waiter = wakeup.waiter()
+    env.run()
+    assert not waiter.triggered
+    wakeup.ring()
+    env.run()
+    assert waiter.processed
+    assert env.events_processed == 2   # the ring and its one waiter
+
+
+def test_wakeup_interrupted_waiter_withdraws(env):
+    wakeup = Wakeup(env)
+
+    def parked():
+        try:
+            yield wakeup.waiter()
+        except Interrupt:
+            pass
+
+    victim = env.process(parked())
+
+    def driver():
+        yield env.timeout(10)
+        assert len(wakeup.waiters()) == 1
+        victim.interrupt()
+        assert wakeup.waiters() == []
+
+    env.process(driver())
+    env.run()
+    assert wakeup.waiters() == []
+
+
+def test_wakeup_losing_any_of_constituent_withdraws(env):
+    wakeup = Wakeup(env)
+    won = []
+
+    def parked():
+        result = yield env.any_of([wakeup.waiter(), env.timeout(10)])
+        won.append(len(result))
+
+    env.process(parked())
+    env.run()
+    assert won == [1]
+    assert wakeup.waiters() == []
+    wakeup.ring()                      # the ring has nobody left to wake
+    before = env.events_processed
+    env.run()
+    assert env.events_processed == before + 1
+
+
+class _LambdaChain:
+    """The hand-rolled wakeup chain :class:`Wakeup` replaced, kept as
+    the differential reference: each waiter is a plain event, and each
+    park appends ``lambda _e: ev.succeed()`` to a shared underlying
+    event that nothing ever prunes."""
+
+    def __init__(self, env):
+        self.env = env
+        self._wakeup = None
+
+    def ring(self):
+        if self._wakeup is not None:
+            self._wakeup.succeed()
+            self._wakeup = None
+
+    def waiter(self, ready=False):
+        ev = Event(self.env)
+        if ready:
+            ev.succeed()
+            return ev
+        if self._wakeup is None:
+            self._wakeup = Event(self.env)
+        self._wakeup.callbacks.append(lambda _e: ev.succeed())
+        return ev
+
+
+def _park_ring_script(seed, make_wakeup):
+    """A seeded script of parks (plain, ready, or racing a timer),
+    rings and interrupts; returns the resume log and the event count."""
+    rng = random.Random(seed)
+    env = Environment()
+    wakeup = make_wakeup(env)
+    log = []
+    procs = []
+
+    def parked(name, ready, race_ns):
+        for round_ in range(3):
+            waiter = wakeup.waiter(ready and round_ == 0)
+            try:
+                if race_ns is None:
+                    yield waiter
+                    how = "ring"
+                else:
+                    got = yield env.any_of([waiter, env.timeout(race_ns)])
+                    how = "ring" if waiter in got else "timer"
+            except Interrupt:
+                log.append((name, round_, env.now, "interrupted"))
+                return
+            log.append((name, round_, env.now, how))
+
+    def driver():
+        for tick in range(40):
+            action = rng.random()
+            if action < 0.45:
+                race = rng.choice([None, None, rng.randrange(1, 40)])
+                procs.append(env.process(parked(
+                    f"p{len(procs)}", rng.random() < 0.2, race)))
+            elif action < 0.8:
+                wakeup.ring()
+            else:
+                waiting = [p for p in procs
+                           if p.is_alive and p._target is not None]
+                if waiting:
+                    rng.choice(waiting).interrupt()
+            yield env.timeout(rng.choice([0, 1, 5, 10]))
+        wakeup.ring()
+
+    env.process(driver())
+    env.run()
+    return log, env.events_processed
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_wakeup_matches_the_lambda_chain_it_replaced(seed):
+    """Same script, same resume order and times; only the no-op events
+    of dead waiters disappear."""
+    log, events = _park_ring_script(seed, Wakeup)
+    ref_log, ref_events = _park_ring_script(seed, _LambdaChain)
+    assert log == ref_log
+    assert any(how == "ring" for *_, how in log)
+    assert events <= ref_events
