@@ -41,11 +41,6 @@ __all__ = ["measure_scale_point", "measure_congestion_point",
 #: collective operations the sweep times
 SCALE_OPS = ("barrier", "allreduce")
 
-#: cap on stored trace records; the aggregating listener folds spans
-#: into per-stage totals and trims the raw list, so thousand-rank
-#: traced runs stay in bounded memory
-_TRIM_THRESHOLD = 65536
-
 
 def scale_ranks() -> tuple[int, ...]:
     """Sweep sizes (env-overridable: ``REPRO_SCALE_RANKS=16,64``)."""
@@ -61,14 +56,15 @@ def scale_topologies() -> tuple[str, ...]:
 class _StageAggregator:
     """Tracer listener folding records into per-canonical-stage totals.
 
-    Armed only for the timed window; keeps ``tracer.records`` trimmed
-    so a 5M-event run does not hold 5M record objects.
+    Armed only for the timed window.  Attaching turns record retention
+    off on the tracer (the totals are the only consumer), so a 5M-event
+    run holds no record objects.
     """
 
     def __init__(self, tracer):
-        self.tracer = tracer
         self.armed = False
         self.totals_ns: dict[str, int] = {}
+        tracer.retain = False
         tracer.add_listener(self._on_record)
 
     def _on_record(self, record) -> None:
@@ -76,8 +72,6 @@ class _StageAggregator:
             group = canonical_stage(record)
             self.totals_ns[group] = (self.totals_ns.get(group, 0)
                                      + record.duration_ns)
-        if len(self.tracer.records) >= _TRIM_THRESHOLD:
-            self.tracer.records.clear()
 
     def table(self) -> list[list]:
         """``[[stage, total_us], ...]`` sorted by descending time."""

@@ -17,9 +17,13 @@ from repro.sim.time import ns_to_us
 __all__ = ["TraceRecord", "Tracer", "StageTimeline"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRecord:
-    """One traced span: a named stage executed by a component."""
+    """One traced span: a named stage executed by a component.
+
+    Slotted and not frozen: one is built per traced stage, and freezing
+    costs an ``object.__setattr__`` call per field.
+    """
 
     start_ns: int
     end_ns: int
@@ -39,10 +43,17 @@ class TraceRecord:
 
 
 class Tracer:
-    """Collects :class:`TraceRecord`\\ s; may be disabled for speed."""
+    """Collects :class:`TraceRecord`\\ s; may be disabled for speed.
+
+    With ``retain`` off, records still reach every listener but are not
+    kept in :attr:`records`; a listener that folds records into totals
+    (the scale/serve stage aggregator) turns it off so a long traced run
+    holds no record objects.
+    """
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
+        self.retain = True
         self.records: list[TraceRecord] = []
         self._listeners: list[Callable[[TraceRecord], None]] = []
         #: (listener, exception) pairs for listeners detached after
@@ -56,10 +67,12 @@ class Tracer:
         Listeners are typically bound to per-trial objects (exporters,
         recovery trackers); a tracer reused across trials used to keep
         them, so every re-attached listener fired once per prior trial
-        as well — duplicating downstream records.
+        as well — duplicating downstream records.  Retention comes back
+        on with the listeners gone.
         """
         self.records.clear()
         self._listeners.clear()
+        self.retain = True
 
     def add_listener(self, fn: Callable[[TraceRecord], None]) -> None:
         self._listeners.append(fn)
@@ -81,7 +94,8 @@ class Tracer:
                 f"stage {stage!r} ends ({end_ns}) before it starts ({start_ns})")
         rec = TraceRecord(start_ns, end_ns, category, stage, component,
                           message_id, data)
-        self.records.append(rec)
+        if self.retain:
+            self.records.append(rec)
         failed = None
         for listener in self._listeners:
             try:

@@ -11,7 +11,7 @@ from repro.firmware.descriptors import BclEvent, EventKind
 from repro.instrument.report import cluster_report
 from repro.instrument.measure import measure_one_way
 from repro.sim import Environment
-from repro.sim.trace import StageTimeline, Tracer
+from repro.sim.trace import StageTimeline, TraceRecord, Tracer
 
 from tests.conftest import run_procs
 from tests.test_bcl_channels import setup_pair
@@ -72,6 +72,78 @@ def test_tracer_remove_listener():
     tracer.remove_listener(seen.append)    # unknown listener: no error
     tracer.record(0, 10, "cpu", "work", "c0")
     assert seen == []
+
+
+def test_trace_record_equality_and_durations():
+    a = TraceRecord(100, 350, "dma", "xfer", "pci", 7, {"bytes": 64})
+    b = TraceRecord(100, 350, "dma", "xfer", "pci", message_id=7,
+                    data={"bytes": 64})
+    assert a == b
+    assert a != TraceRecord(100, 351, "dma", "xfer", "pci", 7, {"bytes": 64})
+    assert a != TraceRecord(100, 350, "dma", "xfer", "pci", 7)
+    assert a.duration_ns == 250
+    assert a.duration_us == pytest.approx(0.25)
+
+
+def test_trace_record_default_data_is_fresh_per_record():
+    a = TraceRecord(0, 1, "cpu", "work", "c0")
+    b = TraceRecord(0, 1, "cpu", "work", "c0")
+    assert a.message_id is None and a.data == {}
+    a.data["k"] = 1
+    assert b.data == {}
+
+
+def test_tracer_without_retention_still_feeds_listeners():
+    tracer = Tracer()
+    seen = []
+    tracer.add_listener(seen.append)
+    tracer.retain = False
+    tracer.record(0, 10, "cpu", "work", "c0")
+    assert len(seen) == 1 and tracer.records == []
+    tracer.clear()                 # a fresh trial retains again
+    assert tracer.retain
+    tracer.record(0, 10, "cpu", "work", "c0")
+    assert len(tracer.records) == 1
+
+
+def _barrier_prog(ep):
+    yield from ep.barrier()
+
+
+def test_traced_cluster_without_aggregator_keeps_every_record():
+    from repro.upper.job import run_spmd
+    cluster = Cluster(n_nodes=4, trace=True)
+    seen = []
+    cluster.tracer.add_listener(seen.append)
+    run_spmd(cluster, 4, _barrier_prog)
+    assert seen and cluster.tracer.records == seen
+
+
+@pytest.mark.parametrize("collectives, table", [
+    ("host", [["mcp", 893.68], ["dma", 653.018], ["SRQ fill", 460.8],
+              ["wire", 416.16], ["upper", 280.35], ["trap", 212.96],
+              ["poll", 185.6], ["event check", 160.0], ["check", 104.4],
+              ["compose", 54.0], ["translate/pin", 49.2]]),
+    ("nic", [["mcp", 222.9], ["wire", 131.54], ["compose", 48.64],
+             ["dma", 34.751], ["event check", 31.31], ["SRQ fill", 15.36]]),
+])
+def test_scale_point_aggregates_without_retaining_records(
+        monkeypatch, collectives, table):
+    """The stage aggregator is the only consumer of a scale point's
+    records: it turns retention off, and the stage table is the one the
+    record-keeping tracer produced."""
+    from repro.experiments import scale
+    built = []
+
+    def cluster(*args, **kwargs):
+        built.append(Cluster(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(scale, "Cluster", cluster)
+    point = scale.measure_scale_point(n_ranks=16, topology="fat_tree",
+                                      collectives=collectives)
+    assert point["stage_table"] == table
+    assert [c.tracer.records for c in built] == [[]]
 
 
 def test_stage_timeline_critical_path_and_format():

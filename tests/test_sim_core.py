@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.sim import (
@@ -13,6 +15,7 @@ from repro.sim import (
     SimulationError,
     Timeout,
 )
+from repro.sim.core import _GC_YOUNG
 
 
 def test_clock_starts_at_zero(env):
@@ -295,3 +298,94 @@ def test_already_processed_event_resumes_immediately(env):
     env.process(late_waiter())
     env.run()
     assert results == [(env.now, "v")]
+
+
+# ------------------------------------------------- run-scoped GC threshold
+@pytest.fixture
+def gc_thresholds():
+    """Restore the interpreter's GC settings whatever a test does."""
+    saved, was_enabled = gc.get_threshold(), gc.isenabled()
+    gc.set_threshold(700, 10, 10)
+    yield
+    gc.set_threshold(*saved)
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _run_failing(env):
+    class Boom(Exception):
+        pass
+
+    env.event().fail(Boom("unhandled"))
+    with pytest.raises(Boom):
+        env.run()
+
+
+def _run_deadlocked(env):
+    with pytest.raises(SimulationError, match="deadlock"):
+        env.run(until=env.event())
+
+
+def _run_until_event(env):
+    def proc():
+        yield env.timeout(5)
+        return "done"
+
+    assert env.run(until=env.process(proc())) == "done"
+
+
+def _run_dry(env):
+    env.timeout(5)
+    env.run()
+
+
+def _seen_inside_run(scheduler):
+    """``(threshold, enabled)`` as a process reads them at two points
+    inside ``run()``."""
+    env = Environment(scheduler=scheduler)
+    seen = []
+
+    def proc():
+        seen.append((gc.get_threshold(), gc.isenabled()))
+        yield env.timeout(1)
+        seen.append((gc.get_threshold(), gc.isenabled()))
+
+    env.process(proc())
+    env.run()
+    return seen
+
+
+@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+def test_run_raises_young_gc_threshold_inside(gc_thresholds, scheduler):
+    assert _seen_inside_run(scheduler) == [((_GC_YOUNG, 10, 10), True)] * 2
+
+
+@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+@pytest.mark.parametrize("run", [_run_dry, _run_until_event, _run_failing,
+                                 _run_deadlocked])
+def test_run_restores_caller_gc_threshold(gc_thresholds, scheduler, run):
+    gc.set_threshold(123, 4, 5)
+    run(Environment(scheduler=scheduler))
+    assert gc.get_threshold() == (123, 4, 5)
+
+
+@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+@pytest.mark.parametrize("caller", [(_GC_YOUNG * 2, 3, 3), (0, 10, 10)],
+                         ids=["higher", "zero"])
+def test_run_keeps_a_higher_or_zero_caller_threshold(gc_thresholds,
+                                                     scheduler, caller):
+    """Threshold 0 is the other way to switch automatic collection off."""
+    gc.set_threshold(*caller)
+    assert _seen_inside_run(scheduler) == [(caller, True)] * 2
+    assert gc.get_threshold() == caller
+
+
+@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+def test_run_never_enables_a_disabled_collector(gc_thresholds, scheduler):
+    gc.disable()
+    assert [enabled for _, enabled in _seen_inside_run(scheduler)] \
+        == [False, False]
+    assert not gc.isenabled()
+    assert gc.get_threshold() == (700, 10, 10)
